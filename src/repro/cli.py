@@ -489,13 +489,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             worker_options=worker_options, dtype=args.dtype,
         )
         models = async_server.app.store.list()
-        print(f"serving {len(models)} model(s) from {args.store} "
-              f"on http://{args.host}:{args.port} "
-              "(async front end, worker processes per shard)")
-        for record in models:
-            print(f"  {record.name}: {record.method} target {record.target} "
-                  f"rank {record.rank}")
-        async_server.run()
+
+        def announce(address) -> None:
+            # Printed once bound, so --port 0 shows the port actually used.
+            print(f"serving {len(models)} model(s) from {args.store} "
+                  f"on http://{address[0]}:{address[1]} "
+                  "(async front end, worker processes per shard)")
+            for record in models:
+                print(f"  {record.name}: {record.method} target "
+                      f"{record.target} rank {record.rank}")
+            sys.stdout.flush()
+
+        async_server.run(ready=announce)
         return 0
     from repro.serve.http import create_server
 
@@ -685,7 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=64,
                        help="most single-row queries stacked into one BLAS call")
     serve.add_argument("--batch-delay", type=float, default=2.0,
-                       help="micro-batch window in milliseconds")
+                       help="longest a micro-batch waits, in milliseconds, "
+                            "for a query that is already in flight (a lone "
+                            "request does not wait)")
     serve.add_argument("--interval-kernel", default=None, choices=available_kernels(),
                        help="interval-product kernel for served fold-in features "
                             f"(default: {DEFAULT_KERNEL})")

@@ -32,7 +32,7 @@ import json
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.interval.scalar import IntervalError
 from repro.serve.http import MAX_BODY_BYTES, RequestError, ServingApp
@@ -127,6 +127,12 @@ class AsyncServingServer:
         except (ConnectionError, asyncio.IncompleteReadError,
                 asyncio.LimitOverrunError):
             pass  # client went away or spoke garbage; nothing to answer
+        except asyncio.CancelledError:
+            # Only _serve's teardown cancels a connection.  End the task
+            # normally: asyncio's stream callback calls task.exception() on
+            # it, which for a *cancelled* task raises and gets logged as a
+            # traceback.
+            pass
         finally:
             self._connections.discard(task)
             writer.close()
@@ -294,7 +300,8 @@ class AsyncServingServer:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    async def _serve(self) -> None:
+    async def _serve(self, ready: Optional[Callable[[Tuple[str, int]], None]]
+                     = None) -> None:
         self._stopping = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port, backlog=128)
@@ -302,6 +309,8 @@ class AsyncServingServer:
         logger.info("async serving front end listening on %s:%d",
                     *self.address)
         self._started.set()
+        if ready is not None:
+            ready(self.address)
         try:
             # start_server is already accepting; park until stop() fires.
             await self._stopping.wait()
@@ -321,11 +330,15 @@ class AsyncServingServer:
             await asyncio.sleep(0)
             await asyncio.sleep(0)
 
-    def run(self) -> None:
+    def run(self, ready: Optional[Callable[[Tuple[str, int]], None]] = None
+            ) -> None:
         """Serve until cancelled (the blocking CLI entry point).  Reaps the
-        app's engines — including worker processes — on the way out."""
+        app's engines — including worker processes — on the way out.
+
+        ``ready`` is called with the bound ``(host, port)`` once the server
+        listens (the real port when ``port=0``)."""
         self._loop = asyncio.new_event_loop()
-        task = self._loop.create_task(self._serve())
+        task = self._loop.create_task(self._serve(ready))
         try:
             self._loop.run_until_complete(task)
         except KeyboardInterrupt:

@@ -12,15 +12,22 @@ without changing results:
 * the leader runs the whole batch through one callable and distributes the
   per-request results; followers just wait on the batch event.
 
-Under no concurrency the only cost is the leader's bounded wait; under load
-the window fills instantly and every BLAS call serves ``max_batch`` queries.
+Callers that know a submit is on its way announce it with
+:meth:`MicroBatcher.expecting` (the HTTP service does so as soon as it has
+parsed a single-row query).  A leader that was announced itself waits only
+while some other announced submit is still on its way, so a lone request
+does not wait at all and ``max_delay`` is just the upper bound on waiting
+for a peer that is already in flight.  Unannounced submits keep the plain
+timed window.  Under load the window fills instantly and every BLAS call
+serves ``max_batch`` queries.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence
 
 
 class _Batch:
@@ -54,8 +61,9 @@ class MicroBatcher:
         (``>= 1``; ``1`` disables stacking).
     max_delay:
         Longest time (seconds, ``>= 0``) the leader waits for followers.
-        Keep this at network-jitter scale: it bounds the latency a lone
-        request pays.
+        An announced leader (see :meth:`expecting`) stops earlier, as soon
+        as no announced submit is still on its way; an unannounced one
+        always waits the full delay, so keep it at network-jitter scale.
     """
 
     def __init__(self, run_batch: Callable[[Sequence[object]], Sequence[object]],
@@ -69,6 +77,9 @@ class MicroBatcher:
         self.max_delay = max_delay
         self._condition = threading.Condition()
         self._open_batch: Optional[_Batch] = None
+        #: Announced submits still on their way (see :meth:`expecting`).
+        self._expected = 0
+        self._announced = threading.local()
         self.batches_run = 0
         self.requests_served = 0
 
@@ -87,6 +98,28 @@ class MicroBatcher:
             "mean_batch_size": (requests / batches) if batches else None,
         }
 
+    @contextmanager
+    def expecting(self) -> Iterator[None]:
+        """Announce that the calling thread is about to :meth:`submit`.
+
+        Until the thread submits (or leaves the block without submitting),
+        open batches know a peer is on its way and their leaders keep
+        waiting for it, up to ``max_delay``.  Leaving the block withdraws
+        an announcement that was not used, so an early exit (a rejected
+        query, an expired deadline) never holds a window open.
+        """
+        with self._condition:
+            self._expected += 1
+        self._announced.pending = True
+        try:
+            yield
+        finally:
+            if self._announced.pending:
+                self._announced.pending = False
+                with self._condition:
+                    self._expected -= 1
+                    self._condition.notify_all()
+
     def submit(self, request: object) -> object:
         """Submit one request; blocks until its result is available.
 
@@ -96,7 +129,12 @@ class MicroBatcher:
         result; an exception raised by ``run_batch`` propagates to every
         waiter of that batch.
         """
+        announced = getattr(self._announced, "pending", False)
+        self._announced.pending = False
         with self._condition:
+            if announced:
+                self._expected -= 1
+                self._condition.notify_all()
             batch = self._open_batch
             if batch is None or batch.closed:
                 batch = self._open_batch = _Batch()
@@ -110,7 +148,7 @@ class MicroBatcher:
                 self._condition.notify_all()
 
         if leader:
-            self._lead(batch)
+            self._lead(batch, announced)
         else:
             batch.done.wait()
 
@@ -118,10 +156,12 @@ class MicroBatcher:
             raise batch.error
         return batch.results[index]
 
-    def _lead(self, batch: _Batch) -> None:
+    def _lead(self, batch: _Batch, announced: bool) -> None:
         deadline = time.monotonic() + self.max_delay
         with self._condition:
-            while not batch.closed:
+            # An announced leader stops as soon as no announced peer is
+            # still on its way: nobody else is going to join this batch.
+            while not batch.closed and (not announced or self._expected):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
+from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 from zipfile import BadZipFile
@@ -49,7 +50,7 @@ from repro.serve.query import (
 )
 from repro.serve.resilience import deadline_scope
 from repro.serve.shard import ShardedModelStore, ShardedQueryEngine
-from repro.serve.store import ModelStore, ModelStoreError
+from repro.serve.store import ModelRecord, ModelStore, ModelStoreError
 from repro.serve.worker import (
     DeadlineExceededError,
     ShardUnavailableError,
@@ -187,14 +188,34 @@ class ServingApp:
         #: (NPZ decompress + per-shard fingerprint hashing), so concurrent
         #: first requests must not each load-and-discard their own copy.
         self._load_locks: Dict[str, threading.Lock] = {}
+        #: Parsed sidecars keyed by model name, each under the file stamp
+        #: (:meth:`ModelStore.meta_stamp`) it was read at.
+        self._records: Dict[str, Tuple[Tuple[int, int, int], ModelRecord]] = {}
 
-    def _current_record(self, name: str):
-        """The model's current store metadata, as a 404 when it is gone."""
+    def _current_record(self, name: str) -> ModelRecord:
+        """The model's current store metadata, as a 404 when it is gone.
+
+        The sidecar is re-read only when its stamp changes, so validating
+        an unchanged model costs one ``stat``.  The stamp is taken before
+        the read: a republish landing in between is cached under the old
+        stamp and therefore read again on the next access, never missed.
+        """
         try:
-            return self.store.record(name)
+            stamp = self.store.meta_stamp(name)
+        except (ModelStoreError, OSError):
+            stamp = None  # missing or invalid: record() raises the 404 below
+        else:
+            cached = self._records.get(name)
+            if cached is not None and cached[0] == stamp:
+                return cached[1]
+        try:
+            record = self.store.record(name)
         except ModelStoreError as error:
             self._evict(name)  # deleted models must not pin factors in memory
             raise RequestError(str(error), status=404) from error
+        if stamp is not None:
+            self._records[name] = (stamp, record)
+        return record
 
     @staticmethod
     def _version_of(record) -> Tuple[object, ...]:
@@ -221,7 +242,8 @@ class ServingApp:
         cannot tell (and need not care) which format backs a model.
 
         The cached engine is validated against the store's current metadata on
-        every access (one small JSON read), so ``repro decompose --save-model``
+        every access (one ``stat`` of the sidecar; it is re-read only when the
+        file changed), so ``repro decompose --save-model``
         over an existing name takes effect without restarting the server.
         A model deleted mid-request surfaces as 404, not a dropped connection.
         """
@@ -308,6 +330,7 @@ class ServingApp:
         """
         with self._lock:
             cached = self._engines.pop(name, None)
+            self._records.pop(name, None)
             for key in [k for k in self._batchers if k[0] == name]:
                 del self._batchers[key]
         if cached is not None:
@@ -396,8 +419,13 @@ class ServingApp:
             raise RequestError("'model' (a published model name) is required")
         k = self._parse_k(payload)
         rows, single = rows_from_payload(payload)
+        batcher = (self._batcher(name, operation)
+                   if single and self.max_batch > 1 else None)
+        # A batchable query is announced from here until it submits, so a
+        # batch leader keeps its window open only while a peer is coming.
+        expecting = batcher.expecting() if batcher is not None else nullcontext()
         with deadline_scope(self.request_timeout), \
-                collect_missing_shards() as missing:
+                collect_missing_shards() as missing, expecting:
             try:
                 engine = self.engine(name)
                 if rows.shape[1] != engine.n_items:
@@ -407,9 +435,8 @@ class ServingApp:
                         f"query rows must have {engine.n_items} columns, "
                         f"got {rows.shape[1]}"
                     )
-                if single and self.max_batch > 1:
-                    result, dropped = \
-                        self._batcher(name, operation).submit((rows, k))
+                if batcher is not None:
+                    result, dropped = batcher.submit((rows, k))
                     missing.update(dropped)
                 elif operation == "recommend":
                     result = engine.top_k_items(rows, k)
@@ -528,6 +555,9 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: Replies leave in one send (see :meth:`_send_json`); TCP_NODELAY makes
+    #: sure the kernel does not hold even that back waiting for an ACK.
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> ServingApp:
@@ -557,8 +587,11 @@ class ServingHandler(BaseHTTPRequestHandler):
         if retry_after is not None:
             # Integral seconds, rounded up: Retry-After is delta-seconds.
             self.send_header("Retry-After", str(max(1, int(-(-retry_after // 1)))))
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would send the head on its own; a body written after
+        # it then waits for the client's delayed ACK (~40 ms).  Send the
+        # head and the body together, in one sendall.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _read_body(self) -> Dict[str, object]:
         try:
@@ -649,8 +682,8 @@ def create_server(
         Most concurrent single-row queries stacked into one scoring call
         (per model and operation); ``1`` disables micro-batching.
     batch_delay:
-        Seconds a batch leader waits for followers (keep at network-jitter
-        scale; it bounds the latency a lone request pays).
+        Longest time (seconds) a batch leader waits for a query that is
+        already in flight; a lone request does not wait.
     verbose:
         Log each request to stderr.
     kernel:

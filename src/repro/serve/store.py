@@ -327,6 +327,18 @@ class ModelStore:
             )
         return payload
 
+    def meta_stamp(self, name: str) -> Tuple[int, int, int]:
+        """``(st_ino, st_mtime_ns, st_size)`` of a model's sidecar file.
+
+        Every publish replaces the sidecar through ``os.replace``, so it
+        gets a new inode: a reader that caches a parsed :meth:`record` can
+        tell whether the model was republished with one ``stat`` instead of
+        a read and parse.  Raises ``OSError`` when there is no sidecar.
+        """
+        self._check_name(name)
+        stat = self._meta_path(name).stat()
+        return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+
     def _record_from_payload(self, name: str,
                              payload: Dict[str, object]) -> ModelRecord:
         """Parse a sidecar payload, wrapping malformed ones in store errors."""

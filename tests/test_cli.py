@@ -272,6 +272,37 @@ class TestServingCommands:
         out = capsys.readouterr().out
         assert "serving 1 model(s)" in out and "m1" in out
 
+    def test_serve_workers_announces_the_bound_port(self, published, capsys,
+                                                    monkeypatch):
+        import re
+        import socket
+
+        from repro.serve.async_http import AsyncServingServer
+
+        store, _ = published
+        seen = {}
+        original_run = AsyncServingServer.run
+
+        def run_until_ready(self, ready=None):
+            def ready_then_stop(address):
+                ready(address)
+                # The announced port must be the one actually listening.
+                with socket.create_connection(address, timeout=5):
+                    pass
+                seen["address"] = address
+                self._stopping.set()  # on the loop thread: stop serving
+
+            original_run(self, ready=ready_then_stop)
+
+        monkeypatch.setattr(AsyncServingServer, "run", run_until_ready)
+        assert main(["serve", "--store", str(store), "--port", "0",
+                     "--workers", "1"]) == 0
+        out = capsys.readouterr().out
+        announced = re.search(r"on http://([\d.]+):(\d+) ", out)
+        assert announced is not None, out
+        assert int(announced.group(2)) == seen["address"][1] != 0
+        assert "serving 1 model(s)" in out and "m1" in out
+
     def test_query_round_trip_against_live_server(self, published, matrix_csv, capsys):
         from repro.serve import QueryEngine, create_server
         from repro.serve.store import ModelStore

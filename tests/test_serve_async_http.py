@@ -180,6 +180,28 @@ class TestProtocolErrors:
         assert status == 200  # server is unbothered
 
 
+class TestCleanShutdown:
+    def test_stop_with_parked_keep_alive_connection_is_silent(
+            self, tmp_path, capfd, caplog):
+        # A keep-alive connection parked between requests is cancelled by
+        # stop(); that must not surface as a CancelledError traceback.
+        server = create_async_server(ModelStore(tmp_path / "store"), port=0)
+        address = server.start_background()
+        connection = http.client.HTTPConnection(*address, timeout=10)
+        try:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+            capfd.readouterr()
+            with caplog.at_level("ERROR"):
+                server.stop()
+        finally:
+            connection.close()
+        assert capfd.readouterr().err == ""
+        assert [r for r in caplog.records if r.levelname == "ERROR"] == []
+
+
 class TestSlowClientsDoNotStarveHealthyOnes:
     N_SLOW = 8
     WINDOW = 1.5  # seconds per measurement

@@ -338,3 +338,233 @@ class TestPayloadParsing:
 
         with pytest.raises(RequestError, match="model"):
             app.recommend({"row": [1.0]})
+
+
+class _CountingSocket:
+    """Accepted-connection proxy that records every send the handler makes."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sends = []
+
+    def sendall(self, data, *args):
+        self.sends.append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def send(self, data, *args):
+        self.sends.append(len(data))
+        return self._sock.send(data, *args)
+
+    def sendmsg(self, buffers, *args):
+        self.sends.append(sum(len(b) for b in buffers))
+        return self._sock.sendmsg(buffers, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestOneSendPerReply:
+    """A reply whose head and body leave in separate sends stalls on the
+    client's delayed ACK; every reply must leave in exactly one send."""
+
+    @pytest.fixture
+    def recording(self, tmp_path, small_interval_matrix):
+        from repro.serve.http import RequestError, ServingHandler, ServingHTTPServer
+
+        class RecordingServer(ServingHTTPServer):
+            accepted = []
+
+            def get_request(self):
+                sock, address = super().get_request()
+                wrapped = _CountingSocket(sock)
+                self.accepted.append(wrapped)
+                return wrapped, address
+
+        store = ModelStore(tmp_path / "store")
+        decomposition = registry.get("isvd4").fit(small_interval_matrix, 4, target="b")
+        store.save("m", decomposition, matrix=small_interval_matrix)
+        server = RecordingServer(("127.0.0.1", 0), ServingHandler)
+        server.app = ServingApp(store, batch_delay=0.0)
+        server.verbose = False
+
+        def unavailable(payload):
+            raise RequestError("shard 1 is unavailable", status=503,
+                               retry_after=1.5)
+
+        server.app.neighbors = unavailable
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield server, small_interval_matrix.shape[1]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            server.app.close()
+
+    def test_every_reply_is_one_send(self, recording):
+        import http.client
+        import socket
+
+        server, n_items = recording
+        connection = http.client.HTTPConnection(*server.server_address[:2],
+                                                timeout=10)
+
+        def exchange(method, path, payload=None):
+            body = None if payload is None else json.dumps(payload).encode()
+            connection.request(method, path, body=body,
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            return response.status, response.getheader("Retry-After"), response.read()
+
+        try:
+            row = [1.0] * n_items
+            replies = [exchange("POST", "/recommend", {"model": "m", "row": row})]
+            (accepted,) = server.accepted  # one keep-alive connection
+            assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            replies += [
+                exchange("POST", "/recommend", {"model": "m", "row": row[1:]}),
+                exchange("POST", "/recommend", {"model": "nope", "row": row}),
+                exchange("GET", "/nowhere"),
+                exchange("POST", "/neighbors", {"model": "m", "row": row}),
+            ]
+            # A non-finite reply becomes a 500; a body far larger than any
+            # write buffer must still travel with its head.
+            server.app.models = lambda: {"models": [float("nan")]}
+            replies.append(exchange("GET", "/models"))
+            server.app.models = lambda: {"models": ["x" * 300_000]}
+            replies.append(exchange("GET", "/models"))
+        finally:
+            connection.close()
+
+        assert [status for status, _, _ in replies] == \
+            [200, 400, 404, 404, 503, 500, 200]
+        assert replies[4][1] == "2"  # Retry-After, rounded up
+        assert len(replies[6][2]) > 300_000
+        assert len(accepted.sends) == len(replies)
+
+
+class TestBatchWindowClosesWithoutPeers:
+    """A lone query does not wait out the batch window, whatever the
+    previous query on the same batcher did."""
+
+    DELAY = 1.0  # a leaked announcement would hold each request this long
+
+    @pytest.fixture
+    def app(self, tmp_path, small_interval_matrix):
+        store = ModelStore(tmp_path / "store")
+        decomposition = registry.get("isvd4").fit(small_interval_matrix, 4, target="b")
+        store.save("m", decomposition, matrix=small_interval_matrix)
+        serving = ServingApp(store, batch_delay=self.DELAY, dtype="float64")
+        yield serving, decomposition, small_interval_matrix
+        serving.close()
+
+    def _assert_lone_request_is_prompt(self, serving, name, n_items):
+        import time
+
+        started = time.monotonic()
+        response = serving.recommend({"model": name, "row": [1.0] * n_items, "k": 2})
+        assert time.monotonic() - started < self.DELAY / 2
+        assert len(response["items"][0]) == 2
+        assert all(b._expected == 0 for b in serving._batchers.values())
+
+    def test_lone_request_does_not_wait(self, app):
+        serving, _, matrix = app
+        serving.engine("m")  # load outside the timed request
+        self._assert_lone_request_is_prompt(serving, "m", matrix.shape[1])
+
+    def test_early_exits_release_their_announcement(self, app, monkeypatch):
+        from repro.core.isvd import isvd
+        from repro.serve.http import RequestError
+        from repro.serve.worker import DeadlineExceededError
+
+        serving, decomposition, matrix = app
+        n_items = matrix.shape[1]
+
+        def refused(payload, status):
+            with pytest.raises(RequestError) as excinfo:
+                serving.recommend(payload)
+            assert excinfo.value.status == status
+
+        # 404: unknown model; the follow-up goes to the same name, now published.
+        refused({"model": "late", "row": [1.0] * n_items}, 404)
+        serving.store.save("late", decomposition, matrix=matrix)
+        serving.engine("late")
+        self._assert_lone_request_is_prompt(serving, "late", n_items)
+
+        # 400: wrong column count.
+        refused({"model": "m", "row": [1.0] * (n_items + 1)}, 400)
+        self._assert_lone_request_is_prompt(serving, "m", n_items)
+
+        # 409: refused by the dtype pin, then republished at the pinned dtype.
+        serving.store.save("m32", isvd(matrix, 4, method="isvd4", target="b",
+                                       dtype="float32"), matrix=matrix)
+        refused({"model": "m32", "row": [1.0] * n_items}, 409)
+        serving.store.save("m32", decomposition, matrix=matrix)
+        serving.engine("m32")
+        self._assert_lone_request_is_prompt(serving, "m32", n_items)
+
+        # 504: the deadline expires before the query reaches the batcher.
+        def expired(name):
+            raise DeadlineExceededError("request deadline exceeded")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(serving, "engine", expired)
+            refused({"model": "m", "row": [1.0] * n_items}, 504)
+        self._assert_lone_request_is_prompt(serving, "m", n_items)
+
+
+class TestMetadataValidatedByStat:
+    @pytest.fixture
+    def app(self, tmp_path, small_interval_matrix):
+        store = ModelStore(tmp_path / "store")
+        decomposition = registry.get("isvd4").fit(small_interval_matrix, 4, target="b")
+        store.save("m", decomposition, matrix=small_interval_matrix)
+        serving = ServingApp(store, batch_delay=0.0)
+        yield serving, small_interval_matrix
+        serving.close()
+
+    def test_steady_state_requests_never_parse_the_sidecar(self, app, monkeypatch):
+        serving, matrix = app
+        payload = {"model": "m", "row": [1.0] * matrix.shape[1]}
+        serving.recommend(payload)
+        reads = []
+        read_meta = ModelStore._read_meta
+
+        def counting(store, name):
+            reads.append(name)
+            return read_meta(store, name)
+
+        monkeypatch.setattr(ModelStore, "_read_meta", counting)
+        for _ in range(5):
+            serving.recommend(payload)
+            serving.neighbors(payload)
+        assert reads == []
+
+    def test_republish_with_same_mtime_is_seen(self, app):
+        import os
+
+        serving, matrix = app
+        assert serving.engine("m").decomposition.rank == 4
+        meta = serving.store.directory / "m.json"
+        before = os.stat(meta)
+        serving.store.save("m", registry.get("isvd0").fit(matrix, 3, target="c"),
+                           matrix=matrix)
+        os.utime(meta, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(meta)
+        assert after.st_mtime_ns == before.st_mtime_ns
+        assert after.st_ino != before.st_ino  # the publish replaced the file
+        assert serving.engine("m").decomposition.rank == 3
+
+    def test_deleted_model_is_404_and_evicted(self, app):
+        from repro.serve.http import RequestError
+
+        serving, matrix = app
+        payload = {"model": "m", "row": [1.0] * matrix.shape[1]}
+        serving.recommend(payload)
+        assert "m" in serving._records
+        serving.store.delete("m")
+        with pytest.raises(RequestError) as excinfo:
+            serving.recommend(payload)
+        assert excinfo.value.status == 404
+        assert "m" not in serving._engines and "m" not in serving._records
