@@ -57,7 +57,7 @@ SECTIONS = {
         "latency_p50_ms", "latency_p95_ms", "latency_p99_ms",
     )),
     "faults": ("test_bench_faults", (
-        "shards", "model_shape", "restart_recovery_ms",
+        "shards", "model_shape", "restart_recovery_ms", "storm_recovery_ms",
         "stall_queries", "stall_seconds", "call_timeout_s",
         "stall_p50_ms", "stall_p99_ms",
         "breaker_open_fail_fast_ms",

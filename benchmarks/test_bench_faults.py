@@ -6,6 +6,9 @@ section of the perf snapshot):
 
 * ``restart_recovery_ms`` — a SIGKILLed worker's shard answering again:
   detection + respawn + handshake + the retried request, end to end;
+* ``storm_recovery_ms`` — the same clock when *every* worker is SIGKILLed
+  at once: shards respawn side by side, so a storm should cost about one
+  worker start-up, not one per shard;
 * ``stall_p99_ms`` — p99 request latency while a fault makes every
   worker's second request stall for 5s: the call timeout must convert
   those stalls into sub-second retries (gate: p99 far below the stall);
@@ -103,6 +106,39 @@ def test_bench_restart_recovery(benchmark, model_store, query_rows):
         benchmark.extra_info["shards"] = N_SHARDS
         benchmark.extra_info["restart_recovery_ms"] = round(
             min(recoveries) * 1000.0, 2)
+    finally:
+        engine.close()
+
+
+def test_bench_storm_recovery(benchmark, model_store, query_rows):
+    """Kill every worker at once, then clock the next query: all shards
+    respawn concurrently — with byte parity at the end."""
+    store, decomposition = model_store
+    reference = QueryEngine(decomposition).top_k_items(query_rows, TOP_K)
+    engine = WorkerShardedQueryEngine(store, "bench", retry=FAST_RETRY,
+                                      breaker_threshold=1000,
+                                      monitor_interval=60.0)
+    try:
+        import os
+        import signal
+
+        def kill_all_then_query():
+            victims = list(engine.supervisor._handles)
+            for victim in victims:
+                os.kill(victim.pid, signal.SIGKILL)
+            for victim in victims:
+                while victim.process.poll() is None:
+                    time.sleep(0.002)
+            begin = time.perf_counter()
+            result = engine.top_k_items(query_rows, TOP_K)
+            return result, time.perf_counter() - begin
+
+        result, elapsed = benchmark.pedantic(kill_all_then_query,
+                                             rounds=3, iterations=1)
+        np.testing.assert_array_equal(result.indices, reference.indices)
+        np.testing.assert_array_equal(result.scores, reference.scores)
+        assert all(worker["restarts"] >= 1 for worker in engine.liveness())
+        benchmark.extra_info["storm_recovery_ms"] = round(elapsed * 1000.0, 2)
     finally:
         engine.close()
 

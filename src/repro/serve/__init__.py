@@ -37,45 +37,68 @@ The subsystem has seven layers, each usable on its own (see
   the event loop so slow clients cannot exhaust worker threads.
 """
 
-from repro.serve.async_http import AsyncServingServer, create_async_server
-from repro.serve.batching import MicroBatcher
-from repro.serve.foldin import FoldInProjector
-from repro.serve.http import ServingApp, create_server
-from repro.serve.protocol import (
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from repro.serve.query import QueryEngine, TopKResult, top_k, top_k_from_candidates
-from repro.serve.shard import (
-    ShardedModelStore,
-    ShardedQueryEngine,
-    ShardManifest,
-    ShardPlanner,
-    merge_shards,
-    plan_row_ranges,
-    usable_cpu_count,
-)
-from repro.serve.faults import FaultInjected, FaultPlan, FaultSpecError
-from repro.serve.resilience import (
-    CircuitBreaker,
-    Deadline,
-    RetryPolicy,
-    current_deadline,
-    deadline_scope,
-)
-from repro.serve.store import ModelRecord, ModelStore, ModelStoreError
-from repro.serve.worker import (
-    DeadlineExceededError,
-    ShardUnavailableError,
-    ShardWorkerSupervisor,
-    WorkerError,
-    WorkerRequestError,
-    WorkerShardedQueryEngine,
-    collect_missing_shards,
-)
+import importlib
+from typing import Dict
+
+#: Public name -> defining submodule.  Re-exports resolve lazily (PEP 562):
+#: a shard worker process imports only the layers it runs, never the HTTP
+#: front ends, which keeps worker start-up (and so crash recovery) short.
+_EXPORTS: Dict[str, str] = {
+    "AsyncServingServer": "async_http",
+    "create_async_server": "async_http",
+    "MicroBatcher": "batching",
+    "FoldInProjector": "foldin",
+    "ServingApp": "http",
+    "create_server": "http",
+    "ProtocolError": "protocol",
+    "decode_frame": "protocol",
+    "encode_frame": "protocol",
+    "read_frame": "protocol",
+    "write_frame": "protocol",
+    "QueryEngine": "query",
+    "TopKResult": "query",
+    "top_k": "query",
+    "top_k_from_candidates": "query",
+    "ShardedModelStore": "shard",
+    "ShardedQueryEngine": "shard",
+    "ShardManifest": "shard",
+    "ShardPlanner": "shard",
+    "merge_shards": "shard",
+    "plan_row_ranges": "shard",
+    "usable_cpu_count": "shard",
+    "FaultInjected": "faults",
+    "FaultPlan": "faults",
+    "FaultSpecError": "faults",
+    "CircuitBreaker": "resilience",
+    "Deadline": "resilience",
+    "RetryPolicy": "resilience",
+    "current_deadline": "resilience",
+    "deadline_scope": "resilience",
+    "ModelRecord": "store",
+    "ModelStore": "store",
+    "ModelStoreError": "store",
+    "DeadlineExceededError": "worker",
+    "ShardUnavailableError": "worker",
+    "ShardWorkerSupervisor": "worker",
+    "WorkerError": "worker",
+    "WorkerRequestError": "worker",
+    "WorkerShardedQueryEngine": "worker",
+    "collect_missing_shards": "worker",
+}
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __all__ = [
     "AsyncServingServer",

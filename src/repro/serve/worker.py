@@ -408,6 +408,16 @@ def _k_of(header: Dict[str, object]) -> int:
 # --------------------------------------------------------------------- #
 # Supervisor side (runs in the serving process)
 # --------------------------------------------------------------------- #
+def _stop_process(process: subprocess.Popen) -> None:
+    """Terminate a worker that never became a handle, and wait for it."""
+    process.terminate()
+    try:
+        process.wait(timeout=2.0)
+    except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
+        process.kill()
+        process.wait()
+
+
 class WorkerHandle:
     """One spawned worker: its process, its connection, its request lock."""
 
@@ -522,13 +532,12 @@ class ShardWorkerSupervisor:
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
         self._token = secrets.token_hex(16)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(manifest.record.shards)
-        self._port = self._listener.getsockname()[1]
-        #: Serializes spawn + connect-back accept: concurrent restarts must
-        #: not interleave their accepts and adopt each other's workers.
-        self._spawn_lock = threading.Lock()
+        #: Guards ``_closed``, the ``_handles`` swap in :meth:`close` and
+        #: ``_spawning``: a spawn either registers its process before close
+        #: snapshots them, or sees the supervisor closed and never starts.
+        self._state_lock = threading.Lock()
+        #: Processes spawned but not yet adopted as a handle.
+        self._spawning: Set[subprocess.Popen] = set()
         n_shards = manifest.record.shards
         self._handles: List[Optional[WorkerHandle]] = [None] * n_shards
         self._restarts = [0] * n_shards
@@ -568,61 +577,87 @@ class ShardWorkerSupervisor:
                 f"generation {self.manifest.record.generation} (the store "
                 f"now serves generation {current})"
             )
-        for shard in range(self.n_shards):
-            self._handles[shard] = self._spawn(shard)
+        self._handles[:] = self._spawn_all(range(self.n_shards))
         self._monitor = threading.Thread(target=self._monitor_loop,
                                          name="repro-worker-monitor",
                                          daemon=True)
         self._monitor.start()
 
-    def _spawn(self, shard: int) -> WorkerHandle:
-        # Import the entry point rather than `-m repro.serve.worker`: the
-        # package __init__ already imports this module, so runpy would
-        # re-execute it and warn about the duplicate in sys.modules.
-        command = [
-            sys.executable, "-c",
-            "import sys; from repro.serve.worker import worker_main; "
-            "sys.exit(worker_main(sys.argv[1:]))",
-            "--store", str(self.directory),
-            "--model", self.name,
-            "--shard", str(shard),
-            "--generation",
-            _generation_token(self.manifest.record.generation),
-            "--connect-port", str(self._port),
-            "--kernel", self.kernel_key,
-            "--dtype", self.dtype,
-        ]
-        environment = dict(os.environ)
-        environment[TOKEN_ENV] = self._token
-        environment[MANIFEST_ENV] = json.dumps(self.manifest.to_payload())
-        if self.faults is not None:  # chaos runs; inherits the env otherwise
-            environment[FAULTS_ENV] = self.faults
-        # The worker must import the same `repro` this process runs,
-        # whether it came from PYTHONPATH, an install, or a bare checkout.
-        package_root = str(Path(repro.__file__).resolve().parent.parent)
-        existing = environment.get("PYTHONPATH", "")
-        if package_root not in existing.split(os.pathsep):
-            environment["PYTHONPATH"] = (
-                package_root + (os.pathsep + existing if existing else ""))
-        with self._spawn_lock:
-            process = subprocess.Popen(command, env=environment,
-                                       stdin=subprocess.DEVNULL)
+    def _spawn_all(self, shards: Sequence[int]) -> List[WorkerHandle]:
+        """Spawn one worker per shard concurrently; all or nothing."""
+        with ThreadPoolExecutor(max_workers=max(len(shards), 1),
+                                thread_name_prefix="repro-spawn") as pool:
+            futures = [pool.submit(self._spawn, shard) for shard in shards]
+        handles, errors = [], []
+        for future in futures:
             try:
-                handle = self._accept(shard, process)
-            except Exception:
-                process.terminate()
-                try:
-                    process.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    process.kill()
-                    process.wait()
-                raise
-        logger.info("spawned worker for shard %d of %r (pid %d, generation %s)",
-                    shard, self.name, handle.pid,
-                    _generation_token(self.manifest.record.generation))
-        return handle
+                handles.append(future.result())
+            except Exception as error:  # noqa: BLE001 - re-raised below
+                errors.append(error)
+        if errors:
+            for handle in handles:
+                handle.reap()
+            raise errors[0]
+        return handles
 
-    def _accept(self, shard: int, process: subprocess.Popen) -> WorkerHandle:
+    def _spawn(self, shard: int) -> WorkerHandle:
+        # Each spawn accepts its worker's connect-back on a listener of its
+        # own, so the shards of a crash storm respawn in parallel instead of
+        # queueing behind one accept loop (and no spawn can adopt another's
+        # worker).
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            port = listener.getsockname()[1]
+            # Import the entry point rather than `-m repro.serve.worker`: runpy
+            # would run a second copy of this module as __main__ beside any
+            # regular import of it.
+            command = [
+                sys.executable, "-c",
+                "import sys; from repro.serve.worker import worker_main; "
+                "sys.exit(worker_main(sys.argv[1:]))",
+                "--store", str(self.directory),
+                "--model", self.name,
+                "--shard", str(shard),
+                "--generation",
+                _generation_token(self.manifest.record.generation),
+                "--connect-port", str(port),
+                "--kernel", self.kernel_key,
+                "--dtype", self.dtype,
+            ]
+            environment = dict(os.environ)
+            environment[TOKEN_ENV] = self._token
+            environment[MANIFEST_ENV] = json.dumps(self.manifest.to_payload())
+            if self.faults is not None:  # chaos runs; else env is inherited
+                environment[FAULTS_ENV] = self.faults
+            # The worker must import the same `repro` this process runs,
+            # whether it came from PYTHONPATH, an install, or a bare checkout.
+            package_root = str(Path(repro.__file__).resolve().parent.parent)
+            existing = environment.get("PYTHONPATH", "")
+            if package_root not in existing.split(os.pathsep):
+                environment["PYTHONPATH"] = (
+                    package_root + (os.pathsep + existing if existing else ""))
+            with self._state_lock:
+                if self._closed:
+                    raise WorkerError("supervisor is closed")
+                process = subprocess.Popen(command, env=environment,
+                                           stdin=subprocess.DEVNULL)
+                self._spawning.add(process)
+            try:
+                handle = self._accept(shard, process, listener)
+            except Exception:
+                _stop_process(process)
+                raise
+            finally:
+                with self._state_lock:
+                    self._spawning.discard(process)
+            logger.info("spawned worker for shard %d of %r (pid %d, "
+                        "generation %s)", shard, self.name, handle.pid,
+                        _generation_token(self.manifest.record.generation))
+            return handle
+
+    def _accept(self, shard: int, process: subprocess.Popen,
+                listener: socket.socket) -> WorkerHandle:
         """Accept the spawned worker's connect-back and validate its hello."""
         deadline = time.monotonic() + SPAWN_TIMEOUT
         while True:
@@ -642,15 +677,15 @@ class ShardWorkerSupervisor:
                     f"worker for shard {shard} of {self.name!r} exited with "
                     f"status {process.returncode} before connecting" + cause
                 )
-            self._listener.settimeout(min(remaining, 0.2))
+            listener.settimeout(min(remaining, 0.2))
             try:
-                connection, _ = self._listener.accept()
+                connection, _ = listener.accept()
             except socket.timeout:
                 continue
             connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             # Bound the hello read too: a peer that connects and then goes
             # silent (slow-accept fault, connect-scan) must not hold the
-            # spawn lock past the spawn deadline.
+            # spawn past the spawn deadline.
             connection.settimeout(max(deadline - time.monotonic(), 0.1))
             stream = connection.makefile("rwb")
             try:
@@ -692,18 +727,32 @@ class ShardWorkerSupervisor:
         """
         while not self._closed:
             time.sleep(self.monitor_interval)
-            for shard in range(self.n_shards):
-                handle = self._handles[shard]
-                if self._closed or handle is None or handle.alive():
-                    continue
-                try:
-                    self._restart(shard, handle)
-                except ShardUnavailableError:
-                    pass  # breaker open: the cooldown is doing its job
-                except Exception as error:  # keep monitoring; calls will
-                    if not self._closed:    # surface the failure loudly
-                        logger.error("respawn of shard %d of %r failed: %s",
-                                     shard, self.name, error)
+            dead = [(shard, handle)
+                    for shard, handle in enumerate(self._handles)
+                    if handle is not None and not handle.alive()]
+            if self._closed or not dead:
+                continue
+            # The shards of a crash storm respawn side by side, so the
+            # fleet is back after one worker start-up, not one per shard.
+            helpers = [threading.Thread(target=self._monitor_restart,
+                                        args=item, daemon=True,
+                                        name="repro-worker-respawn")
+                       for item in dead[1:]]
+            for helper in helpers:
+                helper.start()
+            self._monitor_restart(*dead[0])
+            for helper in helpers:
+                helper.join()
+
+    def _monitor_restart(self, shard: int, handle: WorkerHandle) -> None:
+        try:
+            self._restart(shard, handle)
+        except ShardUnavailableError:
+            pass  # breaker open: the cooldown is doing its job
+        except Exception as error:  # keep monitoring; calls will
+            if not self._closed:    # surface the failure loudly
+                logger.error("respawn of shard %d of %r failed: %s",
+                             shard, self.name, error)
 
     def _restart(self, shard: int, failed: WorkerHandle,
                  reason: str = "worker process died",
@@ -737,60 +786,77 @@ class ShardWorkerSupervisor:
             # Short grace: a worker being *replaced* has already failed its
             # caller.  The full courtesy wait belongs to clean shutdown —
             # here it would make recovery from a stalled worker take as
-            # long as the stall itself.
-            failed.reap(timeout=0.2)
-            if self._closed:
-                raise WorkerError("supervisor is closed")
-            breaker = self._breakers[shard]
-            if not failed.failure_recorded:
-                failed.failure_recorded = True
-                self._last_failure[shard] = reason
-                breaker.record_failure(reason)
-                if breaker.state != BREAKER_CLOSED:
-                    logger.warning(
-                        "circuit breaker for shard %d of %r opened: %s",
-                        shard, self.name, reason)
-            if not breaker.allow():
-                raise ShardUnavailableError(
-                    shard,
-                    f"shard {shard} of {self.name!r} is crash-looping; "
-                    f"circuit breaker open ({reason})",
-                    retry_after=breaker.retry_after(),
-                )
-            probing = breaker.state == BREAKER_HALF_OPEN
+            # long as the stall itself.  The grace runs alongside the
+            # replacement's start-up, not ahead of it.
+            failed.mark_dead()
+            grace_ends = time.monotonic() + 0.2
             try:
-                handle = self._spawn(shard)
-                try:
-                    # Trust no respawn until it answers: a worker that
-                    # connects and then wedges (or dies) would otherwise
-                    # close a half-open breaker it never earned.
-                    self._probe(handle)
-                except Exception:
-                    handle.reap()
-                    raise
-            except Exception as error:
-                breaker.record_failure(f"respawn failed: {error}")
-                if isinstance(error, WorkerError):
-                    raise
-                raise WorkerError(
-                    f"respawn of shard {shard} of {self.name!r} failed: "
-                    f"{error}") from error
-            if probing:
-                logger.warning(
-                    "circuit breaker for shard %d of %r closed after "
-                    "half-open probe", shard, self.name)
-                breaker.record_success()
-            self._handles[shard] = handle
-            self._restarts[shard] += 1
-            timestamps = self._restarted_at[shard]
-            timestamps.append(time.time())
-            del timestamps[:-10]  # keep the last 10 for /healthz
-            logger.info("restarted worker for shard %d of %r "
-                        "(restart #%d: %s)",
-                        shard, self.name, self._restarts[shard], reason)
-            return handle
+                return self._replace(shard, failed, reason)
+            finally:
+                failed.reap(timeout=max(grace_ends - time.monotonic(), 0.0))
         finally:
             lock.release()
+
+    def _replace(self, shard: int, failed: WorkerHandle,
+                 reason: str) -> WorkerHandle:
+        """Charge ``failed``'s death to the breaker and spawn its successor
+        (caller holds the shard's restart lock)."""
+        if self._closed:
+            raise WorkerError("supervisor is closed")
+        breaker = self._breakers[shard]
+        if not failed.failure_recorded:
+            failed.failure_recorded = True
+            self._last_failure[shard] = reason
+            breaker.record_failure(reason)
+            if breaker.state != BREAKER_CLOSED:
+                logger.warning(
+                    "circuit breaker for shard %d of %r opened: %s",
+                    shard, self.name, reason)
+        if not breaker.allow():
+            raise ShardUnavailableError(
+                shard,
+                f"shard {shard} of {self.name!r} is crash-looping; "
+                f"circuit breaker open ({reason})",
+                retry_after=breaker.retry_after(),
+            )
+        probing = breaker.state == BREAKER_HALF_OPEN
+        try:
+            handle = self._spawn(shard)
+            try:
+                # Trust no respawn until it answers: a worker that
+                # connects and then wedges (or dies) would otherwise
+                # close a half-open breaker it never earned.
+                self._probe(handle)
+            except Exception:
+                handle.reap()
+                raise
+        except Exception as error:
+            breaker.record_failure(f"respawn failed: {error}")
+            if isinstance(error, WorkerError):
+                raise
+            raise WorkerError(
+                f"respawn of shard {shard} of {self.name!r} failed: "
+                f"{error}") from error
+        with self._state_lock:
+            adopted = not self._closed
+            if adopted:
+                self._handles[shard] = handle
+        if not adopted:  # close() ran mid-spawn: reap, never orphan
+            handle.reap(timeout=0.2)
+            raise WorkerError("supervisor is closed")
+        if probing:
+            logger.warning(
+                "circuit breaker for shard %d of %r closed after "
+                "half-open probe", shard, self.name)
+            breaker.record_success()
+        self._restarts[shard] += 1
+        timestamps = self._restarted_at[shard]
+        timestamps.append(time.time())
+        del timestamps[:-10]  # keep the last 10 for /healthz
+        logger.info("restarted worker for shard %d of %r "
+                    "(restart #%d: %s)",
+                    shard, self.name, self._restarts[shard], reason)
+        return handle
 
     def _probe(self, handle: WorkerHandle) -> None:
         """One ping round-trip a fresh spawn must pass before being trusted."""
@@ -962,14 +1028,13 @@ class ShardWorkerSupervisor:
         ignore it are terminated, then killed.  After this returns, no
         worker process of this supervisor is running.
         """
-        self._closed = True
-        with self._spawn_lock:
+        with self._state_lock:
+            self._closed = True
             handles, self._handles = \
                 list(self._handles), [None] * self.n_shards
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
+            spawning = list(self._spawning)
+        for process in spawning:  # not yet connected back: nothing to drain
+            _stop_process(process)
         for handle in handles:
             if handle is not None:
                 handle.reap()

@@ -279,6 +279,137 @@ class TestSupervision:
         supervisor.close()
 
 
+class TestParallelSpawns:
+    """Workers start side by side: a fleet (or a crash storm) is back after
+    one worker start-up, not one per shard."""
+
+    @staticmethod
+    def _peak_in_flight(supervisor, action, expected, timeout=30.0):
+        """Run ``action`` while sampling how many spawned workers have not
+        connected back yet; returns the peak once it reaches ``expected``."""
+        import threading
+
+        peak = [0]
+        done = threading.Event()
+
+        def sample():
+            while not done.is_set():
+                peak[0] = max(peak[0], len(supervisor._spawning))
+                time.sleep(0.005)
+
+        sampler = threading.Thread(target=sample, daemon=True)
+        sampler.start()
+        try:
+            action()
+            deadline = time.monotonic() + timeout
+            while peak[0] < expected and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            done.set()
+            sampler.join()
+        return peak[0]
+
+    def test_start_and_crash_storm_spawn_every_shard_at_once(self, published):
+        # Every worker stalls 1.5s before dialling back, so a supervisor
+        # that spawned one shard at a time could never have more than one
+        # unconnected worker in flight.
+        store, matrix, decomposition = published
+        supervisor = ShardWorkerSupervisor(
+            store.directory, "m", store.manifest("m"), monitor_interval=0.05,
+            breaker_threshold=100, faults="connect=stall(seconds=1.5)")
+        try:
+            assert self._peak_in_flight(supervisor, supervisor.start, 3) == 3
+            victims = list(supervisor._handles)
+            restarted = lambda: all(  # noqa: E731
+                row["restarts"] == 1 and row["alive"]
+                for row in supervisor.liveness())
+
+            def crash_every_shard():
+                for handle in victims:
+                    os.kill(handle.pid, signal.SIGKILL)
+
+            assert self._peak_in_flight(supervisor, crash_every_shard, 3) == 3
+            deadline = time.monotonic() + 30.0
+            while not restarted() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert restarted()
+            for shard in range(3):
+                reply, _ = supervisor.call(shard, {"op": "ping"})
+                assert reply["ok"]
+        finally:
+            supervisor.close()
+        _assert_all_dead([handle.pid for handle in victims])
+
+    def test_close_stops_a_worker_that_has_not_connected_back(
+            self, published):
+        # A spawn in flight when close() runs must not outlive it: the
+        # worker is terminated and the spawn fails instead of adopting it.
+        import threading
+
+        store, _, _ = published
+        supervisor = ShardWorkerSupervisor(
+            store.directory, "m", store.manifest("m"),
+            faults="connect=stall(seconds=30)")
+        outcome = []
+
+        def spawn():
+            try:
+                outcome.append(supervisor._spawn(0))
+            except WorkerError as error:
+                outcome.append(error)
+
+        spawner = threading.Thread(target=spawn)
+        spawner.start()
+        deadline = time.monotonic() + 10.0
+        while not supervisor._spawning and time.monotonic() < deadline:
+            time.sleep(0.01)
+        (process,) = list(supervisor._spawning)
+        started = time.monotonic()
+        supervisor.close()
+        spawner.join(timeout=10.0)
+        assert time.monotonic() - started < 5.0  # not the 30s stall
+        assert process.poll() is not None
+        assert len(outcome) == 1 and isinstance(outcome[0], WorkerError)
+        with pytest.raises(WorkerError, match="closed"):
+            supervisor._spawn(0)  # a closed supervisor spawns nothing
+
+
+class TestWorkerStartupImports:
+    def test_worker_entry_point_skips_front_ends_and_optimizers(self):
+        # Worker start-up time is crash-recovery time: the worker module
+        # must not drag in the HTTP front ends (via the serve package's
+        # re-exports) or scipy.optimize (via repro.core's ILSA import).
+        import subprocess
+        import sys
+
+        import repro
+
+        probe = ("import sys; import repro.serve.worker; "
+                 "print(' '.join(sorted(sys.modules)))")
+        environment = dict(os.environ)
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, environment.get("PYTHONPATH")]))
+        loaded = set(subprocess.run(
+            [sys.executable, "-c", probe], env=environment, check=True,
+            capture_output=True, text=True).stdout.split())
+        assert "repro.serve.worker" in loaded
+        for heavy in ("repro.serve.http", "repro.serve.async_http",
+                      "repro.serve.batching", "scipy.optimize"):
+            assert heavy not in loaded, heavy
+
+    def test_serve_package_reexports_resolve_lazily(self):
+        import repro.serve as serve
+        from repro.serve import worker
+
+        for name in serve.__all__:
+            assert getattr(serve, name) is not None, name
+            assert name in dir(serve)
+        assert serve.ShardWorkerSupervisor is worker.ShardWorkerSupervisor
+        with pytest.raises(AttributeError, match="no_such_export"):
+            serve.no_such_export  # noqa: B018
+
+
 class TestGenerationPinning:
     def test_stale_generation_spawn_fails_loudly(self, published, fitted):
         store, _, decomposition = published
