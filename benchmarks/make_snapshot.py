@@ -41,6 +41,8 @@ SECTIONS = {
         "sparse_gram_ms", "dense_gram_ms_measured", "dense_rows_measured",
         "dense_gram_ms_full_estimate", "sparse_speedup",
         "sparse_endpoint_mb", "dense_endpoint_mb", "sparse_storage_ratio",
+        "sparse_isvd_shape", "sparse_isvd_nnz", "sparse_isvd_decomposition_ms",
+        "sparse_isvd_alignment_ms", "sparse_isvd_recomposition_ms",
     )),
     "shard": ("test_bench_shard", (
         "shards", "model_shape", "queries",

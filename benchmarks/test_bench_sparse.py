@@ -110,7 +110,7 @@ def test_bench_sparse_isvd_end_to_end(benchmark):
 
     Ungated: records that the whole decomposition (gram + eigh + interval U/V
     recovery) completes at a scale the dense path cannot hold comfortably,
-    and how long it takes.
+    how long it takes, and the decomposition's own per-phase timings.
     """
     matrix = make_sparse_rating_matrix(preset=None, n_users=20_000, n_items=400,
                                        density=0.02, seed=7)
@@ -122,3 +122,6 @@ def test_bench_sparse_isvd_end_to_end(benchmark):
     assert decomposition.shape == (20_000, 400)
     benchmark.extra_info["sparse_isvd_shape"] = "20000x400"
     benchmark.extra_info["sparse_isvd_nnz"] = matrix.nnz
+    for phase in ("decomposition", "alignment", "recomposition"):
+        benchmark.extra_info[f"sparse_isvd_{phase}_ms"] = round(
+            decomposition.timings[phase] * 1000.0, 1)

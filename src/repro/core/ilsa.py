@@ -11,8 +11,10 @@ parallel as possible:
   supplementary Algorithm 6 (pick the most-similar partner per column, resolve
   conflicts with spare columns), with O(r^2) cost.
 * **Problem 2 (optimal assignment)** — the linear assignment problem maximizing
-  the total |cos| similarity, solved with the Hungarian algorithm
-  (``scipy.optimize.linear_sum_assignment``) in O(r^3).
+  the total |cos| similarity, solved in O(r^3) by the shortest augmenting
+  path algorithm that ``scipy.optimize.linear_sum_assignment`` uses
+  (:func:`linear_sum_assignment`, a NumPy port that returns the same
+  assignment, ties included, without importing ``scipy.optimize``).
 
 After the pairing, any matched pair with a negative cosine has the min-side
 column multiplied by -1 so both columns point in a similar direction.
@@ -151,12 +153,79 @@ def _greedy_mapping(preference: np.ndarray) -> np.ndarray:
     return mapping
 
 
+def linear_sum_assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of every row of ``cost`` to a distinct column.
+
+    A NumPy port of the shortest augmenting path solver behind
+    ``scipy.optimize.linear_sum_assignment`` (Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016; scipy's
+    ``rectangular_lsap.cpp``) for ``rows <= columns``.  It keeps scipy's
+    scan order and tie-breaking rules, so it returns scipy's assignment,
+    including on tied costs; importing ``scipy.optimize`` instead would
+    cost ~0.3 s for an ``r x r`` problem that solves in microseconds.
+    Returns ``(row_ind, col_ind)`` as scipy does, rows in ascending order.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
+        raise AlignmentError(f"expected a 2-D cost matrix with rows <= columns, "
+                             f"got shape {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise AlignmentError("cost matrix contains non-finite entries")
+    nr, nc = cost.shape
+    u, v = np.zeros(nr), np.zeros(nc)
+    path = np.full(nc, -1)
+    col4row = np.full(nr, -1)
+    row4col = np.full(nc, -1)
+    for cur_row in range(nr):
+        # Dijkstra-style search for the shortest augmenting path from cur_row.
+        # Columns are scanned in ``remaining`` order, which starts reversed and
+        # loses its visited entry by swap-with-last, exactly as in scipy.
+        remaining = np.arange(nc - 1, -1, -1)
+        num_remaining = nc
+        shortest = np.full(nc, np.inf)
+        seen_rows = np.zeros(nr, dtype=bool)
+        seen_cols = np.zeros(nc, dtype=bool)
+        min_val, i, sink = 0.0, cur_row, -1
+        while sink == -1:
+            seen_rows[i] = True
+            cols = remaining[:num_remaining]
+            reduced = min_val + cost[i, cols] - u[i] - v[cols]
+            better = reduced < shortest[cols]
+            path[cols[better]] = i
+            shortest[cols[better]] = reduced[better]
+            # The lowest cost wins; among ties scipy prefers the last unassigned
+            # column scanned, else the first column scanned.
+            costs = shortest[cols]
+            min_val = costs.min()
+            tied = np.flatnonzero(costs == min_val)
+            free = tied[row4col[cols[tied]] == -1]
+            index = free[-1] if free.size else tied[0]
+            j = cols[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+        # Update the dual variables, then augment along the path.
+        u[cur_row] += min_val
+        others = seen_rows.copy()
+        others[cur_row] = False
+        u[others] += min_val - shortest[col4row[others]]
+        v[seen_cols] -= min_val - shortest[seen_cols]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return np.arange(nr), col4row
+
+
 def _hungarian_mapping(preference: np.ndarray) -> np.ndarray:
     """Optimal assignment maximizing the total preference (Problem 2)."""
-    # Imported here: scipy.optimize costs ~0.3 s to import, and every
-    # ``repro.core`` importer (query workers included) would pay it.
-    from scipy.optimize import linear_sum_assignment
-
     row_ind, col_ind = linear_sum_assignment(-preference)
     mapping = np.empty(preference.shape[0], dtype=int)
     # row_ind[k] is a min-side column paired with max-side column col_ind[k].

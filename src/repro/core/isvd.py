@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.ilsa import AlignmentResult, align_factor_set, ilsa
 from repro.core.result import DecompositionTarget, IntervalDecomposition
 from repro.core.targets import build_decomposition
+from repro.hardware import single_threaded_scipy_lapack
 from repro.interval.array import IntervalMatrix
 from repro.interval.kernels import KernelLike
 from repro.interval.linalg import (
@@ -94,13 +95,27 @@ def truncated_eigh(matrix: np.ndarray, rank: int,
     zero before the square root, as the singular values of the interval SVD
     must be non-negative.  ``dtype`` sets the LAPACK compute dtype; ``None``
     keeps the historical float64 path.
+
+    Only the top ``r`` eigenpairs are computed (LAPACK ``?syevr`` through
+    ``scipy.linalg.eigh(subset_by_index=...)``): the ISVD gram is ``m x m``
+    but only ``r`` of its eigenpairs are used.  Eigenvector signs are
+    arbitrary and may differ from a full decomposition's.  The solve runs on
+    one BLAS thread (:func:`~repro.hardware.single_threaded_scipy_lapack`): a
+    threaded tridiagonal reduction is twice as fast on idle cores but
+    several times slower, and unsteady, on cores shared with other work.
     """
+    # Imported here so that importing ``repro.core`` (query workers included)
+    # does not pay for ``scipy.linalg``.
+    from scipy.linalg import eigh
+
     matrix = np.asarray(matrix, dtype=float if dtype is None else dtype)
     matrix = 0.5 * (matrix + matrix.T)  # guard against asymmetry from round-off
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    order = np.argsort(eigenvalues)[::-1]
-    rank = min(rank, eigenvalues.shape[0])
-    top = order[:rank]
+    n = matrix.shape[0]
+    rank = min(rank, n)
+    with single_threaded_scipy_lapack():
+        eigenvalues, eigenvectors = eigh(matrix, subset_by_index=[n - rank, n - 1],
+                                         overwrite_a=True)
+    top = np.argsort(eigenvalues)[::-1]
     values = np.clip(eigenvalues[top], 0.0, None)
     return eigenvectors[:, top], np.sqrt(values)
 

@@ -145,7 +145,7 @@ def records_to_csv(records: Sequence[ExperimentRecord],
 
 
 class DecompositionCache:
-    """On-disk cache of decompositions, one compressed NPZ file per cell.
+    """On-disk cache of decompositions, one NPZ file per cell.
 
     Keys are SHA-256 digests over (data fingerprint, method, target, rank) —
     plus the seed and any extra fit options for stochastic methods, whose

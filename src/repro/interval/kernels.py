@@ -45,12 +45,14 @@ kernel="rump")``, or ``--interval-kernel`` on the CLI.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.hardware import usable_cpu_count
 from repro.interval.array import IntervalMatrix
 from repro.interval.scalar import IntervalError
 from repro.interval.sparse import SparseIntervalMatrix, is_sparse_interval
@@ -279,7 +281,7 @@ class KernelInfo:
         * **blocked** — with ``block_rows`` set, dense endpoint products
           accumulate over row chunks of ``matrix``, so no more than four
           ``m x m`` accumulators plus one chunk's temporaries are live at
-          once (instead of four full products plus their stacked copy).
+          once (instead of four full products).
           Blockwise accumulation regroups the inner-dimension sum, which is
           algebraically exact for ``endpoint4`` (min/max happens after the
           full sum) and for ``rump`` (center/radius are sums of per-row
@@ -375,19 +377,82 @@ def kernel_infos() -> List[KernelInfo]:
 
 
 # --------------------------------------------------------------------------- #
+# Shared helpers: pooled sparse products, the endpoint hull
+# --------------------------------------------------------------------------- #
+#: Row ranges each pooled sparse product is cut into, per pool thread.
+_RANGES_PER_THREAD = 8
+
+
+def _pooled_products(pairs: Sequence[Tuple[sp.csr_array, sp.csr_array]],
+                     ) -> List[np.ndarray]:
+    """Dense ``left @ right`` for each pair of CSR operands, in order.
+
+    scipy's sparsetools release the GIL, so the products of one gram run
+    side by side on ``min(len(pairs), usable_cpu_count())`` threads, and
+    inline when one core is usable.  Each product is cut into
+    ``_RANGES_PER_THREAD`` row ranges per thread, of equal multiply-add
+    count, which the threads take as they come free: three products keep two
+    cores equally busy, a thread slowed by other work on its core takes
+    fewer ranges, and each range's sparse intermediate stays small.  A CSR
+    product computes every output row on its own, so the result is
+    byte-identical to the uncut products run one after another.
+    """
+    width = min(len(pairs), usable_cpu_count())
+    if width <= 1:
+        return [(left @ right).toarray() for left, right in pairs]
+
+    def product_rows(left, right, out, start, stop):
+        (left[start:stop] @ right).toarray(out=out[start:stop])
+
+    outputs, tasks = [], []
+    for left, right in pairs:
+        out = np.empty((left.shape[0], right.shape[1]),
+                       dtype=np.result_type(left.dtype, right.dtype))
+        outputs.append(out)
+        # Multiply-adds up to each output row: row i of left meets, in right,
+        # the rows its stored columns name.
+        work = np.cumsum(left @ np.diff(right.indptr).astype(np.float64))
+        total = work[-1] if work.size else 0.0
+        ranges = width * _RANGES_PER_THREAD
+        cuts = np.searchsorted(work, total * np.arange(1, ranges) / ranges)
+        edges = [0, *cuts.tolist(), left.shape[0]]
+        tasks += [(left, right, out, start, stop)
+                  for start, stop in zip(edges[:-1], edges[1:])]
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        for future in [pool.submit(product_rows, *task) for task in tasks]:
+            future.result()
+    return outputs
+
+
+def _hull(candidates: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Elementwise ``(min, max)`` over equally shaped candidates.
+
+    Reduced pairwise in order, which is bit for bit what
+    ``np.stack(candidates).min(axis=0)`` (and ``max``) computes, without the
+    stacked copy: only the two results are allocated.
+    """
+    first, second, *rest = candidates
+    lower = np.minimum(first, second)
+    upper = np.maximum(first, second)
+    in_place = isinstance(lower, np.ndarray)  # 1-D x 1-D products are scalars
+    for candidate in rest:
+        lower = np.minimum(lower, candidate, out=lower if in_place else None)
+        upper = np.maximum(upper, candidate, out=upper if in_place else None)
+    return lower, upper
+
+
+# --------------------------------------------------------------------------- #
 # endpoint4 — the paper's four-endpoint construction (supplementary Alg. 1)
 # --------------------------------------------------------------------------- #
 def _endpoint4_product(a: IntervalMatrix, b: IntervalMatrix, matmul: Callable,
                        mixed_chunk_elements: Optional[int] = None,
                        ) -> Tuple[np.ndarray, np.ndarray]:
-    products = (
+    return _hull((
         matmul(a.lower, b.lower),
         matmul(a.lower, b.upper),
         matmul(a.upper, b.lower),
         matmul(a.upper, b.upper),
-    )
-    stacked = np.stack(products)
-    return stacked.min(axis=0), stacked.max(axis=0)
+    ))
 
 
 def _endpoint4_sparse_product(a, b) -> Tuple[np.ndarray, np.ndarray]:
@@ -412,8 +477,7 @@ def _endpoint4_sparse_product(a, b) -> Tuple[np.ndarray, np.ndarray]:
             lower = lower.minimum(product)
             upper = upper.maximum(product)
         return lower.tocsr(), upper.tocsr()
-    stacked = np.stack([np.asarray(product) for product in products])
-    return stacked.min(axis=0), stacked.max(axis=0)
+    return _hull([np.asarray(product) for product in products])
 
 
 def _endpoint4_gram(m, matmul: Callable, block_rows: Optional[int],
@@ -433,15 +497,10 @@ def _endpoint4_gram(m, matmul: Callable, block_rows: Optional[int],
     if is_sparse_interval(m):
         lower_t = m.lower.T.tocsr()
         upper_t = m.upper.T.tocsr()
-        cross = (lower_t @ m.upper).toarray()
-        stacked = np.stack([
-            (lower_t @ m.lower).toarray(),
-            cross,
-            cross.T,
-            (upper_t @ m.upper).toarray(),
-        ])
-        return (stacked.min(axis=0).astype(storage, copy=False),
-                stacked.max(axis=0).astype(storage, copy=False))
+        gram_ll, cross, gram_uu = _pooled_products((
+            (lower_t, m.lower), (lower_t, m.upper), (upper_t, m.upper)))
+        lo, hi = _hull((gram_ll, cross, cross.T, gram_uu))
+        return lo.astype(storage, copy=False), hi.astype(storage, copy=False)
     lower, upper = m.lower, m.upper
     n = lower.shape[0]
     if block_rows is None or block_rows >= n:
@@ -461,9 +520,8 @@ def _endpoint4_gram(m, matmul: Callable, block_rows: Optional[int],
         acc_ll += matmul(lower_block.T, lower_block)
         acc_cross += matmul(lower_block.T, upper_block)
         acc_uu += matmul(upper_block.T, upper_block)
-    candidates = (acc_ll, acc_cross, acc_cross.T, acc_uu)
-    return (np.minimum.reduce(candidates).astype(storage, copy=False),
-            np.maximum.reduce(candidates).astype(storage, copy=False))
+    lo, hi = _hull((acc_ll, acc_cross, acc_cross.T, acc_uu))
+    return lo.astype(storage, copy=False), hi.astype(storage, copy=False)
 
 
 # --------------------------------------------------------------------------- #
@@ -601,9 +659,10 @@ def _rump_gram(m, matmul: Callable, block_rows: Optional[int],
         center, radius = m.midpoint(), m.radius()
         center_t = center.T.tocsr()
         radius_t = radius.T.tocsr()
-        gram_center = (center_t @ center).toarray()
-        gram_radius = (abs(center_t) @ radius).toarray() + (
-            radius_t @ (abs(center) + radius)).toarray()
+        gram_center, radius_left, radius_right = _pooled_products((
+            (center_t, center), (abs(center_t), radius),
+            (radius_t, abs(center) + radius)))
+        gram_radius = radius_left + radius_right
         return ((gram_center - gram_radius).astype(storage, copy=False),
                 (gram_center + gram_radius).astype(storage, copy=False))
     n = m.lower.shape[0]

@@ -19,6 +19,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
+from repro.hardware import single_threaded_scipy_lapack
 from repro.interval.array import IntervalMatrix
 from repro.interval.kernels import KernelLike, get_kernel
 from repro.interval.scalar import Interval, IntervalError
@@ -252,8 +253,15 @@ def safe_inverse(
     Mirrors Section 4.4.2.2: if the matrix is non-square or ill-conditioned
     (condition number above ``condition_threshold``), compute a Moore–Penrose
     pseudo-inverse in which singular values below ``cutoff`` times the largest
-    singular value are treated as zero.
+    singular value are treated as zero.  ISVD3/4 call it on ``r``-wide
+    matrices, too thin for BLAS threads to pay off, so the SVD runs in
+    scipy's LAPACK on one thread
+    (:func:`~repro.hardware.single_threaded_scipy_lapack`).
     """
+    # Imported here so that importing ``repro.interval`` (query workers
+    # included) does not pay for ``scipy.linalg``.
+    from scipy.linalg import svd
+
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise IntervalError("safe_inverse expects a 2-D matrix")
@@ -262,7 +270,8 @@ def safe_inverse(
         condition = np.linalg.cond(a)
         if np.isfinite(condition) and condition <= condition_threshold:
             return np.linalg.inv(a)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    with single_threaded_scipy_lapack():
+        u, s, vt = svd(a, full_matrices=False, check_finite=False)
     if s.size == 0:
         return a.T.copy()
     threshold = cutoff * s[0]

@@ -340,7 +340,13 @@ def _unpack_factor(prefix: str, archive) -> Union[np.ndarray, IntervalMatrix]:
 
 
 def save_decomposition_npz(decomposition: IntervalDecomposition, path: PathLike) -> None:
-    """Write a decomposition (factors, target, method, rank) to an NPZ archive."""
+    """Write a decomposition (factors, target, method, rank) to an NPZ archive.
+
+    Members are stored, not deflated: dense float factors shrink by only a
+    few percent under zlib, which costs far more time to write and read
+    than it saves.  :func:`load_decomposition_npz` reads stored and
+    compressed archives alike.
+    """
     payload: Dict[str, np.ndarray] = {}
     _pack_factor("u", decomposition.u, payload)
     _pack_factor("sigma", decomposition.sigma, payload)
@@ -348,7 +354,7 @@ def save_decomposition_npz(decomposition: IntervalDecomposition, path: PathLike)
     payload["meta_target"] = np.array(decomposition.target.value)
     payload["meta_method"] = np.array(decomposition.method)
     payload["meta_rank"] = np.array(decomposition.rank)
-    np.savez_compressed(Path(path), **payload)
+    np.savez(Path(path), **payload)
 
 
 def load_decomposition_npz(path: PathLike) -> IntervalDecomposition:

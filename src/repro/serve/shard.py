@@ -37,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -49,6 +48,7 @@ import numpy as np
 
 from repro import io as repro_io
 from repro.core.result import FactorMatrix, IntervalDecomposition
+from repro.hardware import usable_cpu_count  # noqa: F401 - re-exported
 from repro.interval.array import IntervalMatrix
 from repro.interval.kernels import KernelLike
 from repro.interval.sparse import is_sparse_interval
@@ -64,24 +64,6 @@ from repro.serve.store import ModelRecord, ModelStore, ModelStoreError
 logger = logging.getLogger(__name__)
 
 RowRanges = Tuple[Tuple[int, int], ...]
-
-
-def usable_cpu_count() -> int:
-    """CPUs actually usable by this process.
-
-    ``os.sched_getaffinity`` reflects container CPU quotas and ``taskset``
-    pinning, which ``os.cpu_count`` ignores — on a 64-core host limited to 2
-    CPUs, fanning scatter work out 64 ways would only add scheduling
-    overhead to every request.  Falls back to ``os.cpu_count`` on platforms
-    without affinity support (macOS, Windows).
-    """
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    if getaffinity is not None:
-        try:
-            return max(1, len(getaffinity(0)))
-        except OSError:  # pragma: no cover - platform-specific failure
-            pass
-    return max(1, os.cpu_count() or 1)
 
 
 def plan_row_ranges(n_rows: int, n_shards: int) -> RowRanges:
